@@ -2,11 +2,11 @@
 # run before merging — GitHub Actions runs it on every push and pull
 # request (.github/workflows/ci.yml, with Go build/module caching): vet,
 # gofmt cleanliness, build, race-enabled tests (which exercise the
-# experiment worker pool under the race detector), the sharded-update,
-# vectorized-collection, online-learning, and region-sharded-simulator
-# (rule 7) determinism suites under -race, the serving crash-recovery
-# smoke (serve-smoke), and a short benchmark smoke pass over the PPO hot
-# path.
+# experiment worker pool under the race detector), the determinism suites
+# re-run under -race (race-determinism: vectorized collection, online
+# learning, checkpoint/resume, and the region-sharded simulator), the
+# serving crash-recovery smoke (serve-smoke), and a short benchmark smoke
+# pass over the PPO hot path.
 #
 # Benchmark regressions are gated by tools/benchdiff, which diffs two
 # recordings — BENCH_*.json snapshots or raw `go test -bench -benchmem`
@@ -26,12 +26,13 @@
 
 GO ?= go
 
-# BASE is the snapshot bench-compare measures against.
-BASE ?= BENCH_pr9.json
+# BASE is the snapshot bench-compare measures against: the newest
+# BENCH_pr*.json in version order.
+BASE ?= $(shell ls BENCH_pr*.json | sort -V | tail -n1)
 # BENCH_HOT selects the hot-path benchmarks bench-compare re-measures.
-BENCH_HOT = PPOUpdate$$|PPOUpdateSharded|PPOSelectAction|MLPForward$$|Evaluate|SolveScratch|Collect|TrainerEpisode|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SimFleetSharded
+BENCH_HOT = PPOUpdate$$|PPOSelectAction|MLPForward$$|Evaluate|SolveScratch|Collect|TrainerEpisode|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SimFleetSharded
 
-.PHONY: all vet fmt-check build test race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-smoke bench bench-compare bench-multicore golden golden-drift ci
+.PHONY: all vet fmt-check build test race race-determinism serve-smoke bench-smoke bench bench-compare bench-multicore golden golden-drift ci
 
 all: ci
 
@@ -56,48 +57,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-sharded re-runs the sharded-update determinism and allocation
-# tests under the race detector with a high iteration count. The tests
-# themselves pin shard-count × GOMAXPROCS combinations (including values
-# above the host's core count), so a race or a reduction-order bug in the
-# sharded gradient path fails here even on a single-core CI box.
-race-sharded:
-	$(GO) test -race -count=2 -run 'Sharded|AutoShards|ShardDeferred|ShardClone' ./internal/rl ./internal/pomdp ./internal/nn
-
-# race-collect re-runs the vectorized-collection determinism and
-# allocation tests under the race detector. The worker×GOMAXPROCS tables
-# pin worker counts above the host's core count, so a race or a
-# merge-order bug in the parallel collection path fails here even on a
-# single-core CI box.
-race-collect:
-	$(GO) test -race -count=2 -run 'VecCollect|VecAuto|VecMerge|VecGAE|VecTrainer|VecEnv|SingleEnvTrainer|SelectActionBatch' ./internal/rl ./internal/pomdp
-
-# race-online re-runs the online continual-learning determinism and
-# stream-collector tests under the race detector. The rule-5 tables pin
-# CollectWorkers x shard x GOMAXPROCS combinations above the host's core
-# count, so a race or an ordering bug anywhere in the online training
-# path fails here even on a single-core CI box.
-race-online:
-	$(GO) test -race -count=2 -run 'Online|Stream' ./internal/rl ./internal/sim
-
-# race-resume re-runs the checkpoint/resume determinism tests under the
-# race detector. The rule-6 resume-equality tables pin snapshot-at-K-
-# then-train-K against train-2K across CollectWorkers x shards x
-# GOMAXPROCS (with knobs that differ between the legs), so a race or a
-# missing piece of checkpointed state anywhere in the snapshot/restore
-# path fails here even on a single-core CI box.
-race-resume:
-	$(GO) test -race -count=2 -run 'Resume|Snapshot|Checkpoint|Clone|CountingSource' ./internal/rl ./internal/nn ./internal/pomdp ./internal/mathx ./internal/sim
-
-# race-shardsim re-runs the region-sharded simulator determinism layer
-# under the race detector: the rule-7 shard-count × GOMAXPROCS
-# bit-identity tables (sim- and scenario-level, online pricer included),
-# the per-step shard invariants under churn and outages, and the
-# FuzzShardPartition seed corpus. The tables pin region counts above the
-# RSU count and GOMAXPROCS above the host's core count, so a race or a
-# merge-order bug in the sharded vehicle phase fails here even on a
-# single-core CI box.
-race-shardsim:
+# race-determinism re-runs the determinism layer under the race detector.
+# The first pass (-count=2) covers the rule-4 vectorized-collection
+# worker×GOMAXPROCS tables, the rule-5 online continual-learning and
+# stream-collector tables, and the rule-6 snapshot-at-K-then-train-K
+# resume tables (CollectWorkers and GOMAXPROCS differing between the
+# legs). The second pass (-count=1) covers the rule-7 region-sharded
+# simulator: the region-count × GOMAXPROCS bit-identity tables (sim- and
+# scenario-level, online pricer included), the per-step shard invariants
+# under churn and outages, and the FuzzShardPartition seed corpus. The
+# tables pin worker, region and GOMAXPROCS values above the host's core
+# count, so a race or a merge-order bug fails here even on a single-core
+# CI box.
+race-determinism:
+	$(GO) test -race -count=2 -run 'VecCollect|VecAuto|VecMerge|VecGAE|VecTrainer|VecEnv|SingleEnvTrainer|SelectActionBatch|Online|Stream|Resume|Snapshot|Checkpoint|Clone|CountingSource' ./internal/rl ./internal/pomdp ./internal/nn ./internal/mathx ./internal/sim
 	$(GO) test -race -count=1 -run 'Shard|RegionOf|Rule7|DiscardMigration' ./internal/sim ./internal/scenario
 
 # serve-smoke pins the serving layer's crash-recovery story under the
@@ -135,7 +108,7 @@ bench-compare:
 
 # bench-multicore records the hot-path benchmarks with parallelism
 # enabled (-cpu 2,4, i.e. GOMAXPROCS > 1) — an advisory recording for the
-# sharded/vectorized paths whose single-core numbers hide contention and
+# parallel paths whose single-core numbers hide contention and
 # scheduling effects. CI runs it continue-on-error; benchdiff strips the
 # -N GOMAXPROCS suffix, so the recording diffs against any snapshot.
 bench-multicore:
@@ -158,4 +131,4 @@ golden:
 golden-drift: golden
 	git diff --exit-code -- '*_golden.txt' 'internal/experiments/testdata' 'internal/sim/testdata' 'internal/scenario/testdata'
 
-ci: vet fmt-check build race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-smoke
+ci: vet fmt-check build race race-determinism serve-smoke bench-smoke

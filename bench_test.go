@@ -239,43 +239,6 @@ func BenchmarkPPOUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkPPOUpdateSharded measures one optimization phase with sharded
-// gradient accumulation over a 400-step buffer and 100-row minibatches —
-// the workload where per-shard GEMMs are large enough to amortize the
-// fan-out. shards=1 is the serial reference; every shard count produces
-// bit-identical weights (see the determinism contract), so the comparison
-// is purely about throughput.
-func BenchmarkPPOUpdateSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			env := newBenchEnv(b)
-			cfg := rl.DefaultPPOConfig()
-			cfg.MiniBatch = 100
-			cfg.Shards = shards
-			lo, hi := env.ActionBounds()
-			agent := rl.NewPPO(env.ObsDim(), env.ActDim(), lo, hi, cfg)
-			buf := rl.NewRollout(400)
-			obs := env.Reset()
-			for k := 0; k < 400; k++ {
-				raw, envAct, logP, value := agent.SelectAction(obs)
-				next, reward, done := env.Step(envAct)
-				buf.Add(obs, raw, logP, reward, value, done)
-				obs = next
-				if done {
-					obs = env.Reset()
-				}
-			}
-			buf.ComputeGAE(0.95, 0.95, 0)
-			agent.Update(buf) // warm-up: grows worker and minibatch scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agent.Update(buf)
-			}
-		})
-	}
-}
-
 // newBenchVecEnv builds n independently seeded copies of the paper's
 // POMDP for collection benchmarks.
 func newBenchVecEnv(b *testing.B, n int) *rl.EnvSlice {

@@ -49,12 +49,10 @@
 // MulATBAddTo) whose accumulation order is fixed per destination element,
 // internal/nn adds batched forward/backward passes that reuse per-layer
 // scratch across minibatches, and the PPO learner pushes every minibatch
-// through the network as one batched pass. PPO minibatches additionally
-// shard across workers (PPOConfig.Shards): each shard runs the per-row
-// forward/backward work on a clone of the network sharing the parameters,
-// and the cross-row gradient sums reduce serially in fixed shard order.
-// The Stackelberg evaluation is destination-passing as well
-// (Game.EvaluateInto / Game.SolveInto over an EvalScratch), which keeps
+// through the network as one batched pass, reducing every cross-row
+// gradient sum serially, rows ascending. The Stackelberg evaluation is
+// destination-passing as well (Game.EvaluateInto / Game.SolveInto over
+// an EvalScratch), which keeps
 // the per-round follower response inside the POMDP's Step free of report
 // allocations. Algorithm 1's collection phase is vectorized
 // (rl.VecEnv / rl.VecCollector / rl.NewVecTrainer): episode blocks step
@@ -63,7 +61,7 @@
 // env stepping fans out across collection workers. The online-learning
 // path reuses the same machinery: rl.StreamCollector accumulates
 // externally produced transitions (the simulator's pricing rounds) into
-// the arena-backed rollout and triggers the same sharded optimization
+// the arena-backed rollout and triggers the same batched optimization
 // phases, so continual learning inside the simulator stays
 // allocation-free in steady state too. Experiment fan-outs (restarts,
 // seed studies, sweep points, ablation cells, online-study arms) run
@@ -227,27 +225,22 @@
 // committed scenario, and is measured by BenchmarkSimFleetSharded with
 // the steady-state allocation gate in
 // internal/sim/steady_alloc_test.go. The rule-7 bit-identity tables
-// (`make race-shardsim`) compare sharded against serial runs across
+// (`make race-determinism`) compare sharded against serial runs across
 // region counts and GOMAXPROCS values at simulator, scenario, and
 // online-learning level, and FuzzShardPartition stresses the partition
 // invariants under randomized grids, churn, and outages.
 //
 // # Determinism contract
 //
-// The same seed yields the same figures, bit for bit. Eight rules
-// enforce it:
+// The same seed yields the same figures, bit for bit. Seven rules
+// enforce it, numbered 1–8 with rule 3 retired:
 //
 //  1. Batched kernels accumulate in exactly the order of the
 //     sample-at-a-time loops they replaced (k-ascending, one accumulator
 //     per destination element; row-ascending gradient accumulation).
 //  2. Parallel experiment tasks are independently seeded with results
 //     assembled in input order.
-//  3. Sharded gradient accumulation reduces per-worker buffers in fixed
-//     shard order: shards are contiguous row ranges, workers perform only
-//     per-row computation, and every cross-row sum runs in the serial
-//     reduction with the same row-ascending kernels as the serial pass —
-//     so any shard count yields bit-identical weights regardless of
-//     GOMAXPROCS.
+//  3. Retired; the number is kept so the other rules keep theirs.
 //  4. Vectorized collection merges independently seeded per-env streams
 //     in fixed env-index order: the per-round policy evaluation is one
 //     batched pass over the live envs ascending, action sampling consumes
@@ -262,10 +255,10 @@
 //     produced transitions enter the rollout strictly in
 //     simulator-round order (the producing loop is serial and the
 //     rl.StreamCollector consumes no RNG), and every online optimization
-//     phase runs through the rule-3 sharded reduction — so a fixed
+//     phase runs through the serial row-ascending reduction — so a fixed
 //     simulator seed yields a bit-identical sim.Report and bit-identical
 //     final network weights regardless of CollectWorkers (of the
-//     warm-start training), the learner's shard count, and GOMAXPROCS.
+//     warm-start training) and GOMAXPROCS.
 //  6. Checkpoint/resume carries the COMPLETE training state — parameter
 //     values, per-parameter Adam moments and step count, the policy RNG
 //     stream position, and every environment stream's RNG position and
@@ -275,7 +268,7 @@
 //     episodes, snapshotting at an episode-block boundary, restoring
 //     into freshly built environments and learner, and training K more
 //     is then bit-identical to training 2K straight; the throughput
-//     knobs (CollectWorkers, shard count, GOMAXPROCS) may even change
+//     knobs (CollectWorkers, GOMAXPROCS) may even change
 //     between the legs. The same holds at simulator level: an online
 //     pricer snapshot additionally carries the encoder belief window,
 //     current observation, best tracker, and stream counters, so running
@@ -328,7 +321,7 @@
 // resume-equality tables in internal/rl/resume_test.go,
 // internal/pomdp/resume_test.go, internal/experiments/resume_test.go,
 // and — at simulator level — internal/sim/online_resume_test.go;
-// `make race-resume` runs them under the race detector; rule 8 by the
+// `make race-determinism` runs them under the race detector; rule 8 by the
 // batch×workers bit-identity tables and the replica byte-identity tests
 // in internal/serve and the chunked-quote tables in
 // internal/sim/frozen_test.go, all under `make serve-smoke`'s race

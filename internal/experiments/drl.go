@@ -70,7 +70,7 @@ func DefaultDRLConfig() DRLConfig {
 // for bit — the game (followers, channel, price interval, bandwidth
 // cap), the episode schedule inputs (K, L, |I|, reward, CollectEnvs),
 // and the PPO hyper-parameters — while excluding the pure throughput
-// knobs (CollectWorkers, PPO.Shards, Restarts), the seed (carried by the
+// knobs (CollectWorkers, Restarts), the seed (carried by the
 // checkpoint's RNG states), and the episode budget (the resume point).
 // Training checkpoints embed it; ResumeAgent refuses a checkpoint whose
 // fingerprint does not match the requested game and configuration, so a
@@ -215,11 +215,11 @@ func trainOnce(ctx context.Context, game *stackelberg.Game, cfg DRLConfig, resum
 // vtmig-train -checkpoint), cfg describes the SAME training configured
 // with the TOTAL episode budget, and the returned result is bit-identical
 // to a run that never stopped — same final weights, same evaluation —
-// regardless of CollectWorkers, PPO.Shards, and GOMAXPROCS (determinism
-// contract rule 6). The configuration fingerprint is checked before
-// anything runs; cfg.Seed and cfg.Restarts are ignored (the checkpoint
-// pins the stream's seed, and a checkpoint always belongs to exactly one
-// training stream). Episodes of the result cover only the resumed leg.
+// regardless of CollectWorkers and GOMAXPROCS (determinism contract
+// rule 6). The configuration fingerprint is checked before anything
+// runs; cfg.Seed and cfg.Restarts are ignored (the checkpoint pins the
+// stream's seed, and a checkpoint always belongs to exactly one training
+// stream). Episodes of the result cover only the resumed leg.
 func ResumeAgent(game *stackelberg.Game, cfg DRLConfig, ck *nn.Checkpoint) (*TrainResult, error) {
 	return ResumeAgentCtx(context.Background(), game, cfg, ck)
 }

@@ -34,12 +34,12 @@ func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 	}
 	game := stackelberg.DefaultGame()
 	for _, tc := range []struct {
-		name                     string
-		collectEnvs              int
-		firstWorkers, restShards int
+		name         string
+		collectEnvs  int
+		firstWorkers int
 	}{
-		{name: "serial", collectEnvs: 1, firstWorkers: 1, restShards: 2},
-		{name: "vec", collectEnvs: 2, firstWorkers: 3, restShards: 1},
+		{name: "serial", collectEnvs: 1, firstWorkers: 1},
+		{name: "vec", collectEnvs: 2, firstWorkers: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := resumeDRLCfg()
@@ -75,7 +75,6 @@ func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 			}
 
 			rest := cfg
-			rest.PPO.Shards = tc.restShards
 			rest.Seed = 999 // ignored: the checkpoint pins the stream seed
 			resumed, err := ResumeAgent(game, rest, loaded)
 			if err != nil {
@@ -154,7 +153,6 @@ func TestResumeAgentRejectsMismatch(t *testing.T) {
 	t.Run("throughput-knobs-excluded", func(t *testing.T) {
 		knobs := cfg
 		knobs.CollectWorkers = 7
-		knobs.PPO.Shards = 3
 		knobs.Restarts = 5
 		if knobs.Fingerprint(game) != cfg.Fingerprint(game) {
 			t.Fatal("throughput knobs changed the fingerprint")

@@ -6,7 +6,7 @@ import "sync"
 // callers that need transient matrices or vectors whose peak shape is not
 // known up front can Get/Put instead of allocating per call. The
 // steady-state hot loops in this repository (the PPO update, layer
-// caches, the sharded-update worker clones, the Stackelberg EvalScratch)
+// caches, the Stackelberg EvalScratch)
 // deliberately do NOT use it — they keep scratch in struct fields, which
 // stays allocation-free even when GC pressure empties a sync.Pool, a
 // property the AllocsPerRun regression tests depend on — so Pool

@@ -26,14 +26,7 @@ type Linear struct {
 	xCache  mat.Matrix // batch×in copy of the last batched input
 	outMat  mat.Matrix // batch×out
 	gradMat mat.Matrix // batch×in
-
-	// pendingDY is the output-gradient matrix recorded by the last
-	// BackwardBatchDeferred, consumed by AccumulateDeferred. It aliases
-	// caller-owned storage that stays valid until the reduction runs.
-	pendingDY *mat.Matrix
 }
-
-var _ ShardModule = (*Linear)(nil)
 
 // NewLinear returns a Linear layer with Xavier-uniform weights and zero
 // biases. The name prefixes the parameter names ("<name>.W", "<name>.b").
@@ -101,52 +94,6 @@ func (l *Linear) BackwardBatch(grad *mat.Matrix) *mat.Matrix {
 	l.gradMat.Resize(grad.Rows, l.in)
 	mat.MulTo(&l.gradMat, grad, &l.wView)
 	return &l.gradMat
-}
-
-// ShardClone returns a worker view of the layer: it shares the weight and
-// bias parameters (values and gradient storage) with the receiver but
-// owns fresh forward/backward caches, so clones can run batched passes
-// over disjoint row shards concurrently. Only the deferred-accumulation
-// path may be used concurrently; plain Backward/BackwardBatch on a clone
-// would race on the shared gradients.
-func (l *Linear) ShardClone() ShardModule {
-	return &Linear{
-		in:      l.in,
-		out:     l.out,
-		w:       l.w,
-		b:       l.b,
-		wView:   l.wView,
-		gwView:  l.gwView,
-		lastX:   make([]float64, l.in),
-		outBuf:  make([]float64, l.out),
-		gradBuf: make([]float64, l.in),
-	}
-}
-
-// BackwardBatchDeferred computes dX = dY·W for the rows of the preceding
-// ForwardBatch and records dY for a later AccumulateDeferred, without
-// touching the parameter gradients. grad must stay valid (unmodified by
-// the caller) until the reduction has run.
-func (l *Linear) BackwardBatchDeferred(grad *mat.Matrix) *mat.Matrix {
-	checkLen("Linear", "batch grad width", grad.Cols, l.out)
-	checkLen("Linear", "batch grad rows", grad.Rows, l.xCache.Rows)
-	l.pendingDY = grad
-	l.gradMat.Resize(grad.Rows, l.in)
-	mat.MulTo(&l.gradMat, grad, &l.wView)
-	return &l.gradMat
-}
-
-// AccumulateDeferred folds the recorded shard into the shared gradients:
-// dW += dYᵀ·X and db += column sums of dY, rows ascending — continuing
-// the running per-element accumulation exactly where the previous shard
-// left off. A no-op when no deferred backward is pending.
-func (l *Linear) AccumulateDeferred() {
-	if l.pendingDY == nil {
-		return
-	}
-	mat.MulATBAddTo(&l.gwView, l.pendingDY, &l.xCache)
-	mat.AddColSumTo(l.b.Grad, l.pendingDY)
-	l.pendingDY = nil
 }
 
 // Params returns the weight and bias parameters.

@@ -5,9 +5,35 @@ import (
 	"math/rand"
 	"testing"
 
+	"vtmig/internal/channel"
 	"vtmig/internal/rl"
 	"vtmig/internal/stackelberg"
 )
+
+// randomGame draws a valid randomized Stackelberg game: 1–5 followers
+// with random immersion coefficients and data sizes, random cost, and a
+// randomly slack or binding capacity.
+func randomGame(t *testing.T, rng *rand.Rand) *stackelberg.Game {
+	t.Helper()
+	n := 1 + rng.Intn(5)
+	vmus := make([]stackelberg.VMU, n)
+	for i := range vmus {
+		vmus[i] = stackelberg.VMU{
+			ID:       i,
+			Alpha:    5 + rng.Float64()*15,
+			DataSize: 0.5 + rng.Float64()*2.5,
+		}
+	}
+	bmax := 0.0
+	if rng.Intn(2) == 0 {
+		bmax = 0.2 + rng.Float64()*0.8
+	}
+	g, err := stackelberg.NewGame(vmus, channel.DefaultParams(), 4+rng.Float64()*4, 50, bmax)
+	if err != nil {
+		t.Fatalf("randomized game invalid: %v", err)
+	}
+	return g
+}
 
 // TestVecEnvInstanceZeroMatchesClassic pins that instance 0 of a
 // vectorized environment keeps the base seed: its episode stream is

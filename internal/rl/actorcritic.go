@@ -175,14 +175,8 @@ func (ac *ActorCritic) BackwardBatch(dMean, dLogStd *mat.Matrix, dValue []float6
 	for i := len(ac.trunk) - 1; i >= 0; i-- {
 		g = ac.trunk[i].BackwardBatch(g)
 	}
-	ac.accumulateLogStdGrads(dLogStd)
-}
-
-// accumulateLogStdGrads folds a batch of per-row dLoss/dLogStd rows into
-// the log-std gradient, rows ascending with one running accumulator per
-// dimension — the shared reduction of the serial and sharded update
-// paths.
-func (ac *ActorCritic) accumulateLogStdGrads(dLogStd *mat.Matrix) {
+	// Log-std gradient: rows ascending, one running accumulator per
+	// dimension (rule 1).
 	for j := 0; j < ac.actDim; j++ {
 		acc := ac.logStd.Grad[j]
 		for b := 0; b < dLogStd.Rows; b++ {

@@ -41,14 +41,9 @@ func (e *allocEnv) Step(action []float64) ([]float64, float64, bool) {
 
 // newAllocAgent builds a paper-sized learner plus a filled rollout buffer.
 func newAllocAgent(tb testing.TB) (*PPO, *Rollout, *allocEnv) {
-	return newAllocAgentCfg(tb, DefaultPPOConfig())
-}
-
-// newAllocAgentCfg is newAllocAgent with an explicit configuration.
-func newAllocAgentCfg(tb testing.TB, cfg PPOConfig) (*PPO, *Rollout, *allocEnv) {
 	tb.Helper()
 	env := newAllocEnv(12)
-	agent := NewPPO(12, 1, []float64{0}, []float64{1}, cfg)
+	agent := NewPPO(12, 1, []float64{0}, []float64{1}, DefaultPPOConfig())
 	buf := NewRollout(100)
 	obs := env.Reset()
 	for k := 0; k < 100; k++ {
@@ -83,23 +78,6 @@ func TestUpdateAllocationFree(t *testing.T) {
 	agent.Update(buf) // warm-up: grows minibatch scratch, Adam state
 	if n := testing.AllocsPerRun(10, func() { agent.Update(buf) }); n != 0 {
 		t.Errorf("PPO Update allocates %v times per call, want 0 in steady state", n)
-	}
-}
-
-// TestUpdateShardedAllocationFree locks in that the sharded update path
-// stays allocation-free after warm-up: the worker clones and their shard
-// caches are created on the first sharded minibatch and reused, and the
-// per-update goroutine fan-out goes through pre-bound function values, so
-// no closure is built per spawn.
-func TestUpdateShardedAllocationFree(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		cfg := DefaultPPOConfig()
-		cfg.Shards = shards
-		agent, buf, _ := newAllocAgentCfg(t, cfg)
-		agent.Update(buf) // warm-up: grows workers, shard caches, Adam state
-		if n := testing.AllocsPerRun(10, func() { agent.Update(buf) }); n != 0 {
-			t.Errorf("sharded (S=%d) PPO Update allocates %v times per call, want 0 in steady state", shards, n)
-		}
 	}
 }
 

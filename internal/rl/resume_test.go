@@ -2,10 +2,10 @@ package rl
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vtmig/internal/nn"
@@ -16,7 +16,7 @@ import (
 // environment stream states + episode count) restores training
 // bit-identically — train K episodes, snapshot, restore into freshly
 // constructed envs/agent, train K more is the same run as training 2K
-// straight, for any shard count, CollectWorkers, and GOMAXPROCS.
+// straight, for any CollectWorkers and GOMAXPROCS.
 
 // trainStraight trains a fresh agent for cfg.Episodes and returns it with
 // its stats.
@@ -29,15 +29,14 @@ func trainStraight(envs int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO, []Episod
 // trainSplit trains to splitAt episodes, snapshots, round-trips the
 // checkpoint through JSON, restores into freshly built envs and agent,
 // and trains to the full budget. The two legs may use different worker
-// and shard counts (tcfg/firstP vs resumeCfg/resumeP) — pure throughput
-// knobs under the contract. It returns the resumed agent and the
-// second-leg stats.
-func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, firstP, resumeP PPOConfig) (*PPO, []EpisodeStats) {
+// counts (tcfg vs resumeCfg) — a pure throughput knob under the
+// contract. It returns the resumed agent and the second-leg stats.
+func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, pcfg PPOConfig) (*PPO, []EpisodeStats) {
 	t.Helper()
 	firstCfg := tcfg
 	firstCfg.Episodes = splitAt
 	vec1 := newVecTestSlice(envs, 6, 17, tcfg.RoundsPerEpisode+3)
-	agent1 := NewPPO(6, 1, []float64{0}, []float64{1}, firstP)
+	agent1 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
 	tr1 := NewVecTrainer(vec1, agent1, firstCfg)
 	tr1.Fingerprint = "resume-test"
 	tr1.Run()
@@ -56,7 +55,7 @@ func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, 
 	}
 
 	vec2 := newVecTestSlice(envs, 6, 17, tcfg.RoundsPerEpisode+3)
-	agent2 := NewPPO(6, 1, []float64{0}, []float64{1}, resumeP)
+	agent2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
 	tr2, err := ResumeTrainer(vec2, agent2, resumeCfg, loaded)
 	if err != nil {
 		t.Fatalf("ResumeTrainer: %v", err)
@@ -70,22 +69,20 @@ func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, 
 
 // TestResumeBitIdentity is the resume-equality table: snapshot-at-K-then-
 // train-K must equal train-2K for every combination of environment count,
-// collection workers, shard count, and GOMAXPROCS — including worker and
-// shard counts that differ between the snapshot and the resume leg.
+// collection workers, and GOMAXPROCS — including worker counts that differ
+// between the snapshot and the resume leg.
 func TestResumeBitIdentity(t *testing.T) {
 	const rounds, updateEvery = 20, 10
 	cells := []struct {
 		name                        string
 		envs, splitAt, total        int
 		firstWorkers, resumeWorkers int
-		firstShards, resumeShards   int
 		gomaxprocs                  int
 	}{
-		{name: "serial", envs: 1, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 1, firstShards: 1, resumeShards: 1, gomaxprocs: 1},
-		{name: "odd-split", envs: 1, splitAt: 2, total: 7, firstWorkers: 1, resumeWorkers: 1, firstShards: 1, resumeShards: 1, gomaxprocs: 2},
-		{name: "sharded-resume", envs: 1, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 1, firstShards: 1, resumeShards: 3, gomaxprocs: 4},
-		{name: "vec", envs: 2, splitAt: 2, total: 6, firstWorkers: 2, resumeWorkers: 1, firstShards: 2, resumeShards: 1, gomaxprocs: 2},
-		{name: "vec-workers-differ", envs: 3, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 4, firstShards: 0, resumeShards: 2, gomaxprocs: 4},
+		{name: "serial", envs: 1, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 1, gomaxprocs: 1},
+		{name: "odd-split", envs: 1, splitAt: 2, total: 7, firstWorkers: 1, resumeWorkers: 1, gomaxprocs: 2},
+		{name: "vec", envs: 2, splitAt: 2, total: 6, firstWorkers: 2, resumeWorkers: 1, gomaxprocs: 2},
+		{name: "vec-workers-differ", envs: 3, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 4, gomaxprocs: 4},
 	}
 	for _, tc := range cells {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,19 +94,13 @@ func TestResumeBitIdentity(t *testing.T) {
 
 			straightCfg := TrainerConfig{Episodes: tc.total, RoundsPerEpisode: rounds,
 				UpdateEvery: updateEvery, CollectWorkers: 1}
-			straightP := pcfg
-			straightP.Shards = 1
-			ref, refStats := trainStraight(tc.envs, straightCfg, straightP)
+			ref, refStats := trainStraight(tc.envs, straightCfg, pcfg)
 
-			firstP := pcfg
-			firstP.Shards = tc.firstShards
 			firstCfg := straightCfg
 			firstCfg.CollectWorkers = tc.firstWorkers
-			resumeP := pcfg
-			resumeP.Shards = tc.resumeShards
 			resumeCfg := straightCfg
 			resumeCfg.CollectWorkers = tc.resumeWorkers
-			resumed, tail := trainSplit(t, tc.envs, tc.splitAt, firstCfg, resumeCfg, firstP, resumeP)
+			resumed, tail := trainSplit(t, tc.envs, tc.splitAt, firstCfg, resumeCfg, pcfg)
 
 			if diff, ok := paramsEqualBits(ref.Params(), resumed.Params()); !ok {
 				t.Fatalf("resumed weights diverged from straight training: %s", diff)
@@ -132,30 +123,6 @@ func TestResumeBitIdentity(t *testing.T) {
 			}
 			if ckA.Opt.Step != ckB.Opt.Step {
 				t.Fatalf("optimizer step %d, want %d", ckB.Opt.Step, ckA.Opt.Step)
-			}
-		})
-	}
-}
-
-// TestResumeShardedAgentBitIdentity pins that the RESUMED leg may change
-// the shard count mid-stream: resuming a serial-trained checkpoint into a
-// sharded learner (and vice versa) stays on the reference trajectory.
-// (Covered by the table above for selected cells; this test sweeps shard
-// counts densely on the serial env.)
-func TestResumeShardedAgentBitIdentity(t *testing.T) {
-	tcfg := TrainerConfig{Episodes: 6, RoundsPerEpisode: 20, UpdateEvery: 10, CollectWorkers: 1}
-	pcfg := DefaultPPOConfig()
-	pcfg.Seed = 31
-	pcfg.Shards = 1
-	ref, _ := trainStraight(1, tcfg, pcfg)
-
-	for _, shards := range []int{1, 2, 3, 5} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			resumeP := pcfg
-			resumeP.Shards = shards
-			resumed, _ := trainSplit(t, 1, 3, tcfg, tcfg, pcfg, resumeP)
-			if diff, ok := paramsEqualBits(ref.Params(), resumed.Params()); !ok {
-				t.Fatalf("resumed weights diverged: %s", diff)
 			}
 		})
 	}
@@ -263,19 +230,49 @@ func TestRestoreErrors(t *testing.T) {
 	})
 
 	t.Run("hyperparameter-mismatch", func(t *testing.T) {
+		// The refusal must come from the fingerprint check and leave the
+		// learner exactly as it was: no weight, moment, or RNG position
+		// may cold-start from the foreign checkpoint. The refusing
+		// learners use another seed (not fingerprinted), so their initial
+		// state differs from the checkpoint's and a partial restore shows.
+		refused := func(label string, learner *PPO, ck *nn.Checkpoint) {
+			t.Helper()
+			before, err := learner.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = learner.Restore(ck)
+			if err == nil || !strings.Contains(err.Error(), "different learner hyper-parameters") {
+				t.Fatalf("%s: Restore error %v, want a hyper-parameter refusal", label, err)
+			}
+			after, err := learner.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s: refused Restore changed the learner state", label)
+			}
+		}
+
 		hot := pcfg
 		hot.LR = pcfg.LR * 10
-		other := NewPPO(6, 1, []float64{0}, []float64{1}, hot)
-		if err := other.Restore(full); err == nil {
-			t.Fatal("checkpoint restored into a learner with a different learning rate")
-		}
-		// Throughput knobs and seed are normalized out of the learner
-		// fingerprint.
-		sharded := pcfg
-		sharded.Shards = 3
-		sharded.Seed = 99
-		if sharded.Fingerprint() != pcfg.Fingerprint() {
-			t.Fatal("Shards/Seed changed the learner fingerprint")
+		hot.Seed = pcfg.Seed + 1
+		refused("other LR", NewPPO(6, 1, []float64{0}, []float64{1}, hot), full)
+
+		// A checkpoint fingerprinted under an earlier tag is refused by
+		// an otherwise identical learner.
+		legacy := *full
+		legacy.Meta = &nn.TrainMeta{PPO: strings.Replace(full.Meta.PPO, "ppo-v2|", "ppo-v1|", 1)}
+		reseeded := pcfg
+		reseeded.Seed = pcfg.Seed + 1
+		refused("legacy tag", NewPPO(6, 1, []float64{0}, []float64{1}, reseeded), &legacy)
+	})
+
+	t.Run("fingerprint-ignores-seed", func(t *testing.T) {
+		reseeded := pcfg
+		reseeded.Seed = 99
+		if reseeded.Fingerprint() != pcfg.Fingerprint() {
+			t.Fatal("Seed changed the learner fingerprint")
 		}
 	})
 

@@ -1,10 +1,13 @@
 package rl
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"testing"
+
+	"vtmig/internal/nn"
 )
 
 // streamTransition is one precomputed external transition for the
@@ -57,16 +60,48 @@ func makeStream(t *testing.T, n int) []streamTransition {
 	return stream
 }
 
-// feedStream replays a fixed stream into a fresh learner with the given
-// shard count and returns the final network weights.
+// feedStream replays a fixed stream into a fresh learner, cut into the
+// given number of contiguous shards at optimization-phase boundaries, and
+// returns the final network weights. Between shards the learner is
+// snapshotted, persisted through Save/LoadCheckpoint, and restored into a
+// fresh learner fed by a fresh collector; shards=1 is the uninterrupted
+// feed.
 func feedStream(t *testing.T, stream []streamTransition, shards int) [][]float64 {
 	t.Helper()
-	cfg := streamPPOCfg(3)
-	cfg.Shards = shards
-	agent := NewPPO(len(stream[0].obs), len(stream[0].raw), []float64{0}, []float64{1}, cfg)
-	col := NewStreamCollector(agent, 8)
-	for _, tr := range stream {
-		col.Add(tr.obs, tr.raw, tr.logP, tr.reward, tr.value, tr.done, tr.next)
+	const updateEvery = 8
+	if len(stream)%updateEvery != 0 {
+		t.Fatalf("stream length %d is not a multiple of UpdateEvery %d", len(stream), updateEvery)
+	}
+	phases := len(stream) / updateEvery
+	newAgent := func() *PPO {
+		return NewPPO(len(stream[0].obs), len(stream[0].raw), []float64{0}, []float64{1}, streamPPOCfg(3))
+	}
+	agent := newAgent()
+	var col *StreamCollector
+	for s := 0; s < shards; s++ {
+		if s > 0 {
+			ck, err := agent.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ck.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := nn.LoadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agent = newAgent()
+			if err := agent.Restore(loaded); err != nil {
+				t.Fatal(err)
+			}
+		}
+		col = NewStreamCollector(agent, updateEvery)
+		lo, hi := s*phases/shards*updateEvery, (s+1)*phases/shards*updateEvery
+		for _, tr := range stream[lo:hi] {
+			col.Add(tr.obs, tr.raw, tr.logP, tr.reward, tr.value, tr.done, tr.next)
+		}
 	}
 	last := stream[len(stream)-1]
 	col.Flush(last.done, last.next)
@@ -79,9 +114,11 @@ func feedStream(t *testing.T, stream []streamTransition, shards int) [][]float64
 
 // TestStreamCollectorShardBitIdentical pins determinism contract rule 5
 // at the collector level: a fixed external transition stream produces
-// bit-identical weights for every shard count × GOMAXPROCS combination,
-// because the collector adds no ordering of its own and the update reuses
-// the rule-3 sharded reduction.
+// bit-identical weights for every stream shard count × GOMAXPROCS
+// combination, because the collector adds no ordering of its own, the
+// update's cross-row sums are serial and row-ascending, and a checkpoint
+// taken at a phase boundary carries the learner's whole state (weights,
+// optimizer moments, RNG position) into the next shard.
 func TestStreamCollectorShardBitIdentical(t *testing.T) {
 	stream := makeStream(t, 40)
 	ref := feedStream(t, stream, 1)
@@ -94,7 +131,7 @@ func TestStreamCollectorShardBitIdentical(t *testing.T) {
 				for pi := range ref {
 					for i := range ref[pi] {
 						if math.Float64bits(ref[pi][i]) != math.Float64bits(got[pi][i]) {
-							t.Fatalf("param %d[%d]: %v != serial %v", pi, i, got[pi][i], ref[pi][i])
+							t.Fatalf("param %d[%d]: %v != uninterrupted %v", pi, i, got[pi][i], ref[pi][i])
 						}
 					}
 				}

@@ -241,8 +241,8 @@ func (t *Trainer) Restore(ck *nn.Checkpoint) error {
 // architecture), cfg.Episodes is the TOTAL episode budget, and ck is a
 // full training checkpoint from Trainer.Snapshot. The returned trainer's
 // Run picks the stream up at the checkpointed episode and is bit-identical
-// to an uninterrupted run for any CollectWorkers, shard count, and
-// GOMAXPROCS (determinism contract rule 6).
+// to an uninterrupted run for any CollectWorkers and GOMAXPROCS
+// (determinism contract rule 6).
 func ResumeTrainer(vec VecEnv, agent *PPO, cfg TrainerConfig, ck *nn.Checkpoint) (*Trainer, error) {
 	t := NewVecTrainer(vec, agent, cfg)
 	if err := t.Restore(ck); err != nil {

@@ -75,8 +75,8 @@ type VecCollector struct {
 	bootVals []float64
 	bootEnvs []int
 
-	// step fan-out machinery, mirroring the sharded-update workers:
-	// pre-bound goroutine bodies so the per-round spawn allocates nothing.
+	// step fan-out machinery: pre-bound goroutine bodies so the per-round
+	// spawn allocates nothing.
 	stepWorkers []*stepWorker
 	stepWG      sync.WaitGroup
 }

@@ -97,6 +97,25 @@ func runVecTraining(envs, workers int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO
 	return agent, trainer.Run()
 }
 
+// paramsEqualBits reports the first parameter element where a and b
+// differ bitwise, or ok.
+func paramsEqualBits(a, b []*nn.Param) (string, bool) {
+	if len(a) != len(b) {
+		return fmt.Sprintf("param count %d vs %d", len(a), len(b)), false
+	}
+	for i := range a {
+		for j := range a[i].Value {
+			if math.Float64bits(a[i].Value[j]) != math.Float64bits(b[i].Value[j]) {
+				return fmt.Sprintf("param %q element %d: %x vs %x (%v vs %v)",
+					a[i].Name, j,
+					math.Float64bits(a[i].Value[j]), math.Float64bits(b[i].Value[j]),
+					a[i].Value[j], b[i].Value[j]), false
+			}
+		}
+	}
+	return "", true
+}
+
 // statsEqualBits reports the first diverging episode between two runs.
 func statsEqualBits(a, b []EpisodeStats) (string, bool) {
 	if len(a) != len(b) {

@@ -16,16 +16,16 @@ import (
 // simulator seed (and a fixed offline-training seed for the warm start),
 // an online-pricer simulation produces a bit-identical sim.Report and
 // bit-identical final network weights regardless of the offline
-// CollectWorkers, the learner's shard count, and GOMAXPROCS. Transitions
-// enter the rollout in simulator-round order and every optimization phase
-// reuses the rule-3 sharded reduction, so no knob can reorder a single
-// floating-point accumulation.
+// CollectWorkers, the simulator's region-shard count (rule 7), and
+// GOMAXPROCS. Transitions enter the rollout in simulator-round order and
+// every optimization phase reduces its cross-row sums serially, rows
+// ascending, so no knob can reorder a single floating-point accumulation.
 
 // onlineSimRun trains a warm-start agent with the given collection worker
-// count, deploys it online with the given shard count, runs a fixed-seed
-// simulation with the given simulator region count (0 = serial stepping),
-// and returns the report plus the final weights.
-func onlineSimRun(t *testing.T, collectWorkers, shards, regions int) (Report, [][]float64) {
+// count, deploys it online, runs a fixed-seed simulation with the given
+// simulator region count (0 = serial stepping), and returns the report
+// plus the final weights.
+func onlineSimRun(t *testing.T, collectWorkers, regions int) (Report, [][]float64) {
 	t.Helper()
 	game := stackelberg.DefaultGame()
 	envCfg := pomdp.Config{
@@ -42,7 +42,6 @@ func onlineSimRun(t *testing.T, collectWorkers, shards, regions int) (Report, []
 	pcfg := rl.DefaultPPOConfig()
 	pcfg.Seed = 4
 	pcfg.MiniBatch = 10
-	pcfg.Shards = shards
 	lo, hi := vec.ActionBounds()
 	agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, pcfg)
 	rl.NewVecTrainer(vec, agent, rl.TrainerConfig{
@@ -95,18 +94,25 @@ func sameBits(t *testing.T, label string, ref, got [][]float64) {
 	}
 }
 
-// TestOnlineSimBitIdentical is the rule-5 table: CollectWorkers × shards
-// × GOMAXPROCS, every cell bit-identical to the all-serial reference.
+// TestOnlineSimBitIdentical is the rule-5 table: CollectWorkers ×
+// simulator shards × GOMAXPROCS, every cell bit-identical to the
+// all-serial reference. The shards axis is the simulator's region-shard
+// count (rule 7, Config.Shards.Regions), shards=1 being the unsharded
+// serial stepper.
 func TestOnlineSimBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online determinism table skipped in -short mode")
 	}
-	refRep, refW := onlineSimRun(t, 1, 1, 0)
+	refRep, refW := onlineSimRun(t, 1, 0)
 	if refRep.PricingRounds == 0 || len(refRep.Migrations) == 0 {
 		t.Fatalf("reference run is trivial: %+v", refRep)
 	}
 	for _, workers := range []int{1, 2, 3} {
 		for _, shards := range []int{1, 2, 3} {
+			regions := shards
+			if shards == 1 {
+				regions = 0
+			}
 			for _, gmp := range []int{1, 2, 4} {
 				if workers == 1 && shards == 1 && gmp == runtime.GOMAXPROCS(0) {
 					continue
@@ -115,7 +121,7 @@ func TestOnlineSimBitIdentical(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					prev := runtime.GOMAXPROCS(gmp)
 					defer runtime.GOMAXPROCS(prev)
-					rep, w := onlineSimRun(t, workers, shards, 0)
+					rep, w := onlineSimRun(t, workers, regions)
 					if !reflect.DeepEqual(refRep, rep) {
 						t.Fatalf("report diverged from serial reference:\nserial: %+v\ngot:    %+v", refRep, rep)
 					}
@@ -134,8 +140,8 @@ func TestOnlineSimReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online training test skipped in -short mode")
 	}
-	repA, wA := onlineSimRun(t, 2, 2, 0)
-	repB, wB := onlineSimRun(t, 2, 2, 0)
+	repA, wA := onlineSimRun(t, 2, 0)
+	repB, wB := onlineSimRun(t, 2, 0)
 	if !reflect.DeepEqual(repA, repB) {
 		t.Fatalf("reports differ:\n%+v\n%+v", repA, repB)
 	}

@@ -143,10 +143,10 @@ func (c OnlinePricerConfig) Validate() error {
 //
 // Determinism (contract rule 5): the simulator feeds rounds serially, the
 // pricer consumes the learner RNG in round order, and every update runs
-// through the rule-1/rule-3 fixed-order kernels — so a fixed simulator
-// seed (plus a warm-start agent from a fixed training seed) yields a
+// through the rule-1 fixed-order kernels — so a fixed simulator seed
+// (plus a warm-start agent from a fixed training seed) yields a
 // bit-identical sim.Report and bit-identical final weights for any
-// CollectWorkers, shard count, and GOMAXPROCS.
+// CollectWorkers and GOMAXPROCS.
 type OnlinePricer struct {
 	agent       *rl.PPO
 	col         *rl.StreamCollector

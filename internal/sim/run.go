@@ -575,7 +575,7 @@ func (s *Simulator) stepVehiclesSerial() {
 // vehicle that is not already migrating. It runs serially over the fleet
 // in global vehicle order, consuming the serving RSUs staged by the
 // vehicle phase — the fixed-order merge that keeps sharded runs
-// bit-identical to serial ones (rule 7's analogue of rule 3).
+// bit-identical to serial ones (rule 7).
 //
 // A vehicle can hand over again while an earlier migration of its sits
 // deferred (bandwidth exhausted or a failed round) — common once fleets

@@ -12,7 +12,7 @@ import (
 // double-homed) and at the end that the sharded report DeepEqual-matches
 // the serial reference — rule 7 under adversarial inputs. The seed corpus
 // doubles as a table test in ordinary runs, and the whole fuzzer runs
-// under -race in make race-shardsim.
+// under -race in make race-determinism.
 func FuzzShardPartition(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint8(2), uint8(12), int64(1), uint8(0), uint8(20))
 	f.Add(uint8(2), uint8(2), uint8(1), uint8(1), int64(7), uint8(3), uint8(40))

@@ -117,14 +117,14 @@ func TestShardOnlineSimBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online training table skipped in -short mode")
 	}
-	refRep, refW := onlineSimRun(t, 1, 1, 0)
+	refRep, refW := onlineSimRun(t, 1, 0)
 	for _, regions := range []int{2, 5} {
 		for _, gmp := range []int{1, 4} {
 			name := fmt.Sprintf("regions=%d/gomaxprocs=%d", regions, gmp)
 			t.Run(name, func(t *testing.T) {
 				prev := runtime.GOMAXPROCS(gmp)
 				defer runtime.GOMAXPROCS(prev)
-				rep, w := onlineSimRun(t, 1, 1, regions)
+				rep, w := onlineSimRun(t, 1, regions)
 				if !reflect.DeepEqual(refRep, rep) {
 					t.Fatalf("report diverged from serial reference:\nserial: %+v\ngot:    %+v", refRep, rep)
 				}

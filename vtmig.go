@@ -220,8 +220,8 @@ func TrainAgent(game *Game, cfg DRLConfig) (*TrainResult, error) {
 // total episodes. The configuration must match the checkpointed training
 // (checked via its fingerprint; cfg.Seed is taken from the checkpoint),
 // and the result is bit-identical to a run that never stopped — same
-// final weights and evaluation — regardless of CollectWorkers, shard
-// count, and GOMAXPROCS (determinism contract rule 6).
+// final weights and evaluation — regardless of CollectWorkers and
+// GOMAXPROCS (determinism contract rule 6).
 func ResumeTraining(game *Game, cfg DRLConfig, ck *Checkpoint) (*TrainResult, error) {
 	return experiments.ResumeAgent(game, cfg, ck)
 }
